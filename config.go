@@ -72,7 +72,8 @@ func (s System) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON accepts a system name (any ParseSystem spelling) or a
-// legacy numeric value.
+// legacy numeric value naming a known system. An unknown number is
+// refused: it would canonicalise to a name that does not decode.
 func (s *System) UnmarshalJSON(b []byte) error {
 	t := string(b)
 	if len(t) >= 2 && t[0] == '"' && t[len(t)-1] == '"' {
@@ -87,7 +88,11 @@ func (s *System) UnmarshalJSON(b []byte) error {
 	if _, err := fmt.Sscanf(t, "%d", &n); err != nil {
 		return fmt.Errorf("netcache: bad system %s", t)
 	}
-	*s = System(n)
+	v, err := ParseSystem(System(n).String())
+	if err != nil {
+		return fmt.Errorf("netcache: bad system %s", t)
+	}
+	*s = v
 	return nil
 }
 

@@ -62,13 +62,11 @@ type Cluster struct {
 	rf   int
 	cfg  Config
 
-	mu        sync.Mutex
-	ring      *Ring  // current ring; immutable once installed
-	epoch     uint64 // the ring's membership epoch
-	prev      *Ring  // ring before the last adoption (nil: never changed)
-	prevEpoch uint64
-	peers     map[string]*peerState // remote peers; Self is always up
-	onChange  []func(Membership)
+	mu       sync.Mutex
+	ring     *Ring                 // current ring; immutable once installed
+	epoch    uint64                // the ring's membership epoch
+	peers    map[string]*peerState // remote peers; Self is always up
+	onChange []func(Membership)
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -224,8 +222,7 @@ func (c *Cluster) SetProbe(f func(ctx context.Context, peer string) error) {
 }
 
 // Member reports whether peer is part of the current membership. Unlike
-// health, membership is routing truth: hints and rebalance targets aimed
-// at a non-member are stale and get dropped.
+// health, membership is routing truth.
 func (c *Cluster) Member(peer string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

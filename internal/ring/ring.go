@@ -56,7 +56,8 @@ func (p Policy) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + p.String() + `"`), nil
 }
 
-// UnmarshalJSON accepts a policy name ("lru") or a legacy numeric value.
+// UnmarshalJSON accepts a policy name ("lru") or a legacy numeric value
+// naming a known policy.
 func (p *Policy) UnmarshalJSON(b []byte) error {
 	s := string(b)
 	if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
@@ -71,7 +72,11 @@ func (p *Policy) UnmarshalJSON(b []byte) error {
 	if _, err := fmt.Sscanf(s, "%d", &n); err != nil {
 		return fmt.Errorf("ring: bad policy %s", s)
 	}
-	*p = Policy(n)
+	v, err := ParsePolicy(Policy(n).String())
+	if err != nil {
+		return fmt.Errorf("ring: bad policy %s", s)
+	}
+	*p = v
 	return nil
 }
 

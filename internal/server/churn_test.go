@@ -119,28 +119,27 @@ func TestMembershipGossip(t *testing.T) {
 		return stale.cl.Epoch() == m2.Epoch
 	})
 
-	// GET /v1/cluster surfaces the epoch and churn-repair state.
+	// GET /v1/cluster surfaces the epoch and replica-repair state.
 	cs, err := nodes[0].c.ClusterStatus(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Epoch != m2.Epoch || cs.Left || cs.Rebalance == nil || cs.AntiEntropy == nil {
-		t.Fatalf("cluster status = %+v, want epoch %d with rebalance/anti-entropy state", cs, m2.Epoch)
+	if cs.Epoch != m2.Epoch || cs.Left || cs.Repair == nil {
+		t.Fatalf("cluster status = %+v, want epoch %d with repair state", cs, m2.Epoch)
 	}
 }
 
 // TestRebalanceJoinDrain drives the fault-free join and decommission
-// paths: a sweep lands on a 2-node ring, a third node joins and the mover
-// streams its share over (resumably, via the persisted cursor machinery),
-// then the joiner is decommissioned and drains every key it holds back to
-// the survivors before reporting Done.
+// paths: a sweep lands on a 2-node ring, a third node joins and the
+// survivors' reconcilers push its share over, then the joiner is
+// decommissioned and drains every key it holds back to the survivors
+// before reporting Done. The periodic timer is out of reach, so the
+// passes that epoch adoptions trigger must do all of it, whichever node
+// adopts the new ring first.
 func TestRebalanceJoinDrain(t *testing.T) {
 	ctx := context.Background()
-	fast := func(_ int, cfg *Config) {
-		cfg.RebalanceInterval = 25 * time.Millisecond
-		cfg.AntiEntropyInterval = 10 * time.Minute // driven explicitly where needed
-	}
-	nodes := startCluster(t, 2, 1, fast)
+	wakeOnly := func(_ int, cfg *Config) { cfg.RepairInterval = 10 * time.Minute }
+	nodes := startCluster(t, 2, 1, wakeOnly)
 	specs := fullSweep()
 	baseline, keys := sweepBaseline(t, specs)
 	for i, spec := range specs {
@@ -158,7 +157,7 @@ func TestRebalanceJoinDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joiner := bootClusterNode(t, []string{"http://" + l.Addr().String()}, 0, t.TempDir(), nil, l, 1, fast)
+	joiner := bootClusterNode(t, []string{"http://" + l.Addr().String()}, 0, t.TempDir(), nil, l, 1, wakeOnly)
 	m1, err := nodes[0].c.UpdateMembership(ctx, cluster.ActionJoin, joiner.url)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +166,7 @@ func TestRebalanceJoinDrain(t *testing.T) {
 		return nodes[0].cl.Epoch() == m1.Epoch && nodes[1].cl.Epoch() == m1.Epoch && joiner.cl.Epoch() == m1.Epoch
 	})
 
-	// The survivors' movers stream every key the joiner now owns to it.
+	// The survivors' reconcilers push every key the joiner now owns to it.
 	owned := 0
 	for _, key := range keys {
 		if joiner.cl.Owner(key) == joiner.url {
@@ -175,9 +174,9 @@ func TestRebalanceJoinDrain(t *testing.T) {
 		}
 	}
 	if owned == 0 {
-		t.Fatal("ring remapped nothing to the joiner; rebalance exercised nothing")
+		t.Fatal("ring remapped nothing to the joiner; the join exercised nothing")
 	}
-	waitFor(t, "rebalance to stream the joiner's keys", func() bool {
+	waitFor(t, "reconcilers to push the joiner's keys", func() bool {
 		for i, key := range keys {
 			if joiner.cl.Owner(key) != joiner.url {
 				continue
@@ -213,7 +212,7 @@ func TestRebalanceJoinDrain(t *testing.T) {
 		t.Fatalf("post-join pass re-simulated %d specs", after-before)
 	}
 	if joiner.sims.Load() != 0 {
-		t.Fatalf("joiner simulated %d specs; its keys should have been streamed to it", joiner.sims.Load())
+		t.Fatalf("joiner simulated %d specs; its keys should have been pushed to it", joiner.sims.Load())
 	}
 
 	// Decommission the joiner: it observes it left, drains everything it
@@ -224,7 +223,7 @@ func TestRebalanceJoinDrain(t *testing.T) {
 	}
 	waitFor(t, "decommissioned node to observe it left", func() bool { return joiner.cl.Left() })
 	waitFor(t, "decommissioned node to drain", func() bool {
-		rs := joiner.srv.RebalanceStatus()
+		rs := joiner.srv.RepairStatus()
 		return rs.Epoch == m2.Epoch && rs.Done
 	})
 	for _, key := range joiner.st.Keys() {
@@ -242,8 +241,10 @@ func TestRebalanceJoinDrain(t *testing.T) {
 			t.Fatalf("drained key %s missing from its new owner %s", key[:8], owner)
 		}
 	}
-	if _, _, ok := joiner.st.RebalanceCursor(); ok {
-		t.Fatal("rebalance cursor survived a completed drain")
+	// Nothing is left outstanding: another pass at the same epoch has
+	// nothing to push and stays Done.
+	if pushed, done := joiner.srv.ReconcilePass(ctx); pushed != 0 || !done {
+		t.Fatalf("pass after a completed drain pushed %d keys, done=%v", pushed, done)
 	}
 	joiner.stop(t)
 
@@ -264,14 +265,13 @@ func TestRebalanceJoinDrain(t *testing.T) {
 }
 
 // TestAntiEntropyRepair manufactures replica divergence directly in the
-// stores of an RF=2 pair and checks one sweep heals it exactly: keys only
-// on A are pushed, keys only on B are pulled, and a second sweep (from
-// either side) reports a converged cluster.
+// stores of an RF=2 pair and checks one pass on each side heals it
+// exactly: each node pushes the keys only it holds, nothing is pulled,
+// and a second pass from either side is Done with nothing to push.
 func TestAntiEntropyRepair(t *testing.T) {
 	ctx := context.Background()
 	nodes := startCluster(t, 2, 2, func(_ int, cfg *Config) {
-		cfg.RebalanceInterval = 10 * time.Minute // isolate the anti-entropy path
-		cfg.AntiEntropyInterval = 10 * time.Minute
+		cfg.RepairInterval = 10 * time.Minute // passes are driven by hand
 	})
 	waitFor(t, "peers to probe up", func() bool {
 		return nodes[0].cl.Up(nodes[1].url) && nodes[1].cl.Up(nodes[0].url)
@@ -284,23 +284,30 @@ func TestAntiEntropyRepair(t *testing.T) {
 	// The push target (PUT /v1/result) validates bodies as JSON, like every
 	// real result; divergent replicas are seeded with distinct JSON values.
 	valOf := func(i int) []byte { return []byte(fmt.Sprintf(`{"replica":%d}`, i)) }
-	const onlyA, onlyB = 20, 5
-	for i := 0; i < onlyA; i++ {
-		if err := nodes[0].st.Put(keyOf(i), valOf(i)); err != nil {
-			t.Fatal(err)
+	const onlyA, onlyB, both = 20, 5, 7
+	put := func(n *cnode, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if err := n.st.Put(keyOf(i), valOf(i)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	for i := onlyA; i < onlyA+onlyB; i++ {
-		if err := nodes[1].st.Put(keyOf(i), valOf(i)); err != nil {
-			t.Fatal(err)
-		}
+	put(nodes[0], 0, onlyA)
+	put(nodes[1], onlyA, onlyA+onlyB)
+	for _, n := range nodes {
+		put(n, onlyA+onlyB, onlyA+onlyB+both)
 	}
 
-	pulled, pushed := nodes[0].srv.AntiEntropyPass(ctx)
-	if pulled != onlyB || pushed != onlyA {
-		t.Fatalf("repair pass pulled %d / pushed %d, want %d / %d", pulled, pushed, onlyB, onlyA)
+	if pushed, done := nodes[0].srv.ReconcilePass(ctx); pushed != onlyA || !done {
+		t.Fatalf("A's pass pushed %d keys (done=%v), want %d", pushed, done, onlyA)
 	}
-	for i := 0; i < onlyA+onlyB; i++ {
+	if _, ok := nodes[0].st.Get(keyOf(onlyA)); ok {
+		t.Fatal("A's pass pulled a key; the reconciler only pushes")
+	}
+	if pushed, done := nodes[1].srv.ReconcilePass(ctx); pushed != onlyB || !done {
+		t.Fatalf("B's pass pushed %d keys (done=%v), want %d", pushed, done, onlyB)
+	}
+	for i := 0; i < onlyA+onlyB+both; i++ {
 		for _, n := range nodes {
 			body, ok := n.st.Get(keyOf(i))
 			if !ok {
@@ -313,39 +320,165 @@ func TestAntiEntropyRepair(t *testing.T) {
 	}
 
 	// Converged: both directions now report nothing to do.
-	if p, q := nodes[0].srv.AntiEntropyPass(ctx); p+q != 0 {
-		t.Fatalf("second pass repaired %d+%d keys on a converged pair", p, q)
+	for _, n := range nodes {
+		if pushed, done := n.srv.ReconcilePass(ctx); pushed != 0 || !done {
+			t.Fatalf("%s: second pass pushed %d keys (done=%v) on a converged pair", n.url, pushed, done)
+		}
 	}
-	if p, q := nodes[1].srv.AntiEntropyPass(ctx); p+q != 0 {
-		t.Fatalf("reverse pass repaired %d+%d keys on a converged pair", p, q)
-	}
-	st := nodes[0].srv.AntiEntropyStatus()
-	if st.Passes != 2 || st.Pulled != onlyB || st.Pushed != onlyA || st.LastRepaired != 0 {
-		t.Fatalf("anti-entropy status = %+v", st)
-	}
-	text, err := nodes[0].c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := metricValue(t, text, "netcached_cluster_antientropy_pushed_total"); v != onlyA {
-		t.Fatalf("antientropy_pushed_total = %d, want %d", v, onlyA)
-	}
-	if v := metricValue(t, text, "netcached_cluster_antientropy_pulled_total"); v != onlyB {
-		t.Fatalf("antientropy_pulled_total = %d, want %d", v, onlyB)
+	for i, n := range nodes {
+		want := []uint64{onlyA, onlyB}[i]
+		if rs := n.srv.RepairStatus(); rs.Passes != 2 || rs.Pushed != want || rs.Errors != 0 || !rs.Done {
+			t.Fatalf("%s: repair status = %+v", n.url, rs)
+		}
+		text, err := n.c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := metricValue(t, text, "netcached_cluster_repair_pushed_total"); v != int64(want) {
+			t.Fatalf("%s: repair_pushed_total = %d, want %d", n.url, v, want)
+		}
+		if v := metricValue(t, text, "netcached_cluster_repair_received_total"); v != int64(onlyA+onlyB)-int64(want) {
+			t.Fatalf("%s: repair_received_total = %d, want %d", n.url, v, int64(onlyA+onlyB)-int64(want))
+		}
+		if v := metricValue(t, text, "netcached_cluster_repair_done"); v != 1 {
+			t.Fatalf("%s: repair_done = %d, want 1", n.url, v)
+		}
 	}
 }
+
+// TestReconcileConcurrentPasses: forced passes racing each other, the
+// background loop and status readers on a divergent RF=2 pair stay
+// race-free, and the pair still converges to Done.
+func TestReconcileConcurrentPasses(t *testing.T) {
+	ctx := context.Background()
+	nodes := startCluster(t, 2, 2, func(_ int, cfg *Config) {
+		cfg.RepairInterval = time.Millisecond
+	})
+	waitFor(t, "peers to probe up", func() bool {
+		return nodes[0].cl.Up(nodes[1].url) && nodes[1].cl.Up(nodes[0].url)
+	})
+	keys := make([]string, 40)
+	for i := range keys {
+		sum := sha256.Sum256([]byte(fmt.Sprintf("concurrent-%d", i)))
+		keys[i] = hex.EncodeToString(sum[:])
+		if err := nodes[i%2].st.Put(keys[i], []byte(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n := nodes[g%2]
+			for j := 0; j < 5; j++ {
+				n.srv.ReconcilePass(ctx)
+				n.srv.RepairStatus()
+				if _, err := n.c.ClusterStatus(ctx); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, n := range nodes {
+		for _, key := range keys {
+			if _, ok := n.st.Get(key); !ok {
+				t.Fatalf("%s lacks %s after concurrent passes", n.url, key[:8])
+			}
+		}
+		if pushed, done := n.srv.ReconcilePass(ctx); pushed != 0 || !done {
+			t.Fatalf("%s: pass after convergence pushed %d keys, done=%v", n.url, pushed, done)
+		}
+	}
+}
+
+// TestReconcileSteadyStateFills: a node that holds only read-through
+// fills of keys its peers already own reaches Done without pushing, and
+// its next pass at the same epoch costs exactly one digest request per
+// live peer — no key-list fetch, no push.
+func TestReconcileSteadyStateFills(t *testing.T) {
+	ctx := context.Background()
+	var mu sync.Mutex
+	calls := map[string]int{} // "METHOD path" -> requests sent by node 0
+	count := func(cfg *Config, base http.RoundTripper) {
+		cfg.Internode = func(peer string) *Client {
+			return &Client{BaseURL: peer, HTTPClient: &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+				if r.URL.Path != "/healthz" { // probes are not the reconciler's
+					mu.Lock()
+					calls[r.Method+" "+r.URL.Path]++
+					mu.Unlock()
+				}
+				return base.RoundTrip(r)
+			})}}
+		}
+	}
+	nodes := startCluster(t, 3, 1, func(i int, cfg *Config) {
+		cfg.RepairInterval = 10 * time.Minute // passes are driven by hand
+		if i == 0 {
+			count(cfg, http.DefaultTransport)
+		}
+	})
+	specs := fullSweep()[:24]
+	perPeer := map[string]int{}
+	for _, spec := range specs {
+		key, err := spec.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := nodes[0].cl.Owner(key)
+		if owner == nodes[0].url {
+			continue
+		}
+		// The owner computes it; node 0 then reads it through and fills.
+		for _, n := range nodes {
+			if n.url == owner {
+				if _, err := n.c.RunRaw(ctx, spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := nodes[0].c.RunRaw(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+		perPeer[owner]++
+	}
+	if len(perPeer) != 2 || nodes[0].sims.Load() != 0 {
+		t.Fatalf("node 0 holds fills for %d peers and simulated %d specs; want fills for both peers and no simulation", len(perPeer), nodes[0].sims.Load())
+	}
+
+	if pushed, done := nodes[0].srv.ReconcilePass(ctx); pushed != 0 || !done {
+		t.Fatalf("first pass pushed %d keys, done=%v; want 0 and Done", pushed, done)
+	}
+	mu.Lock()
+	clear(calls)
+	mu.Unlock()
+	if pushed, done := nodes[0].srv.ReconcilePass(ctx); pushed != 0 || !done {
+		t.Fatalf("second pass pushed %d keys, done=%v; want 0 and Done", pushed, done)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := map[string]int{"GET /v1/cluster/digest": 2}
+	if fmt.Sprint(calls) != fmt.Sprint(want) {
+		t.Fatalf("second pass sent %v, want %v", calls, want)
+	}
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 // TestReplicationExceedsLivePeers: churn can shrink the membership below
 // the configured replication factor. The replica walk must clamp to the
 // live peers (never block or error hunting for peers that do not exist),
-// serving must continue from the survivor, and both repair loops —
-// rebalance and anti-entropy — must report a clean, complete pass rather
-// than wedging on the unreachable replica count.
+// serving must continue from the survivor, and the replica reconciler
+// must report a clean, complete pass rather than wedging on the
+// unreachable replica count.
 func TestReplicationExceedsLivePeers(t *testing.T) {
 	ctx := context.Background()
 	nodes := startCluster(t, 2, 2, func(_ int, cfg *Config) {
-		cfg.RebalanceInterval = 10 * time.Minute // drive passes by hand
-		cfg.AntiEntropyInterval = 10 * time.Minute
+		cfg.RepairInterval = 10 * time.Minute // drive passes by hand
 	})
 	waitFor(t, "peers to probe up", func() bool {
 		return nodes[0].cl.Up(nodes[1].url) && nodes[1].cl.Up(nodes[0].url)
@@ -411,17 +544,16 @@ func TestReplicationExceedsLivePeers(t *testing.T) {
 		t.Fatalf("novel spec below RF: %v", err)
 	}
 
-	// Rebalance: a full pass completes Done at the shrunk epoch — there is
-	// nowhere to push to, and that must read as "done", not as failure.
-	nodes[0].srv.RebalancePass(ctx)
-	rs := nodes[0].srv.RebalanceStatus()
-	if rs.Epoch != m.Epoch || !rs.Done || rs.Moved != 0 || rs.Errors != 0 {
-		t.Fatalf("rebalance status below RF = %+v, want clean Done at epoch %d", rs, m.Epoch)
+	// A full pass completes Done at the shrunk epoch — there is nowhere to
+	// push to, and that must read as "done", not as failure. A second pass
+	// is the same clean no-op.
+	for pass := 0; pass < 2; pass++ {
+		if pushed, done := nodes[0].srv.ReconcilePass(ctx); pushed != 0 || !done {
+			t.Fatalf("pass %d below RF pushed %d keys, done=%v", pass, pushed, done)
+		}
 	}
-
-	// Anti-entropy: no live peers means a clean no-op pass.
-	if p, q := nodes[0].srv.AntiEntropyPass(ctx); p+q != 0 {
-		t.Fatalf("anti-entropy below RF repaired %d+%d keys with no peers", p, q)
+	if rs := nodes[0].srv.RepairStatus(); rs.Epoch != m.Epoch || !rs.Done || rs.Pushed != 0 || rs.Errors != 0 {
+		t.Fatalf("repair status below RF = %+v, want clean Done at epoch %d", rs, m.Epoch)
 	}
 }
 
@@ -464,10 +596,9 @@ func (tr *simTracker) duplicates() int {
 // against a 3-node RF=2 cluster under store and HTTP chaos while the
 // membership churns — one node killed and removed, a fresh node joined,
 // a node decommissioned and drained — and at quiesce the cluster must be
-// byte-identical to the fault-free baseline, with handoff and rebalance
-// queues empty, anti-entropy reporting zero missing replicas, and no spec
-// recomputed within an owner epoch beyond what the injected store faults
-// excuse.
+// byte-identical to the fault-free baseline, with every reconciler pass
+// Done and pushing nothing (zero missing replicas), and no spec recomputed
+// within an owner epoch beyond what the injected store faults excuse.
 func TestClusterChurnSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn sweep runs the full figure corpus under chaos; skipped in -short")
@@ -489,9 +620,7 @@ func TestClusterChurnSweep(t *testing.T) {
 		return func(_ int, cfg *Config) {
 			cfg.Inject = injectors[slot]
 			cfg.RepairInterval = 25 * time.Millisecond
-			cfg.RebalanceInterval = 40 * time.Millisecond
-			cfg.AntiEntropyInterval = 10 * time.Minute // driven explicitly at quiesce
-			cfg.DegradedAfter = 1000                   // store chaos must not flip read-only mode
+			cfg.DegradedAfter = 1000 // store chaos must not flip read-only mode
 			tr, cl, prev := trackers[slot], cfg.Cluster, cfg.RunFunc
 			cfg.RunFunc = func(ctx context.Context, spec netcache.RunSpec) (netcache.Result, error) {
 				if key, err := spec.Key(); err == nil {
@@ -556,7 +685,7 @@ func TestClusterChurnSweep(t *testing.T) {
 	sweep("phase 2", third, 2*third, nodes[:2])
 
 	// A fresh node joins mid-run: it boots as a single-node ring and the
-	// join handshake folds it in; rebalance streams its share over.
+	// join handshake folds it in; the reconcilers push its share over.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -587,15 +716,15 @@ func TestClusterChurnSweep(t *testing.T) {
 	waitFor(t, "decommissioned node to observe it left", func() bool { return nodes[1].cl.Left() })
 	sweep("phase 3b", 2*third+third/2, len(specs), []*cnode{nodes[0], joiner})
 
-	// Quiesce the chaos and let the churn repair machinery finish: the
-	// decommissioned node drains to Done, then stops for good.
+	// Quiesce the chaos and let the reconcilers finish: the decommissioned
+	// node drains to Done, then stops for good.
 	for _, inj := range injectors {
 		for _, site := range []string{faults.HTTPError, faults.HTTPLatency, faults.StoreRead, faults.StoreWrite, faults.StoreCorrupt} {
 			inj.Set(site, 0)
 		}
 	}
 	waitFor(t, "decommissioned node to drain", func() bool {
-		rs := nodes[1].srv.RebalanceStatus()
+		rs := nodes[1].srv.RepairStatus()
 		return rs.Epoch == m3.Epoch && rs.Done
 	})
 	nodes[1].stop(t)
@@ -604,32 +733,24 @@ func TestClusterChurnSweep(t *testing.T) {
 	waitFor(t, "epoch convergence at quiesce", func() bool {
 		return nodes[0].cl.Epoch() == m3.Epoch && joiner.cl.Epoch() == m3.Epoch
 	})
-	waitFor(t, "handoff queues to drain", func() bool {
-		return nodes[0].st.HandoffDepth()+joiner.st.HandoffDepth() == 0
-	})
-	waitFor(t, "rebalance to settle on the survivors", func() bool {
+	waitFor(t, "reconcilers to settle on the survivors", func() bool {
 		for _, n := range live {
-			rs := n.srv.RebalanceStatus()
+			rs := n.srv.RepairStatus()
 			if rs.Epoch != m3.Epoch || !rs.Done {
 				return false
 			}
 		}
 		return true
 	})
-	for _, n := range live {
-		if _, _, ok := n.st.RebalanceCursor(); ok {
-			t.Fatalf("rebalance cursor outstanding on %s after a Done pass", n.url)
-		}
-	}
 
 	// Heal pass: any key that died with the killed node is recomputed (at
 	// most once, at the current epoch); everything else is served from the
 	// surviving replicas.
 	sweep("heal pass", 0, len(specs), live)
-	waitFor(t, "anti-entropy to report full replication", func() bool {
-		p0, q0 := nodes[0].srv.AntiEntropyPass(ctx)
-		p1, q1 := joiner.srv.AntiEntropyPass(ctx)
-		return p0+q0+p1+q1 == 0
+	waitFor(t, "reconcilers to report full replication", func() bool {
+		p0, done0 := nodes[0].srv.ReconcilePass(ctx)
+		p1, done1 := joiner.srv.ReconcilePass(ctx)
+		return done0 && done1 && p0+p1 == 0
 	})
 
 	// With RF=2 and two survivors, full replication means both hold every
@@ -676,11 +797,12 @@ func TestClusterChurnSweep(t *testing.T) {
 	}
 }
 
-// BenchmarkRebalance measures a steady-state rebalance pass over a fixed
-// resident corpus: every key Lookup-probed at its other replica, nothing
-// pushed — the recurring cost of the mover once a ring change has been
-// absorbed. The first (unmeasured) pass pays the actual moves.
-func BenchmarkRebalance(b *testing.B) {
+// BenchmarkReconcile measures a steady-state reconciler pass over a fixed
+// resident corpus replicated on both nodes: one digest request, every
+// range confirmed, nothing pushed — the recurring cost of the loop once a
+// ring change has been absorbed. The first (unmeasured) pass pays the
+// actual pushes and the second confirms them.
+func BenchmarkReconcile(b *testing.B) {
 	ctx := context.Background()
 	listeners := make([]net.Listener, 2)
 	urls := make([]string, 2)
@@ -704,12 +826,10 @@ func BenchmarkRebalance(b *testing.B) {
 			b.Fatal(err)
 		}
 		srvs[i] = New(Config{
-			Store:               st,
-			Workers:             2,
-			Cluster:             cl,
-			RepairInterval:      10 * time.Minute,
-			RebalanceInterval:   10 * time.Minute,
-			AntiEntropyInterval: 10 * time.Minute,
+			Store:          st,
+			Workers:        2,
+			Cluster:        cl,
+			RepairInterval: 10 * time.Minute,
 		})
 		l := listeners[i]
 		srv := srvs[i]
@@ -729,12 +849,16 @@ func BenchmarkRebalance(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	srvs[0].RebalancePass(ctx) // pay the moves up front
+	for pass := 0; pass < 2; pass++ { // pay the pushes up front
+		if _, done := srvs[0].ReconcilePass(ctx); !done {
+			b.Fatal("set-up pass not Done")
+		}
+	}
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if moved, _ := srvs[0].RebalancePass(ctx); moved != 0 {
-			b.Fatalf("steady-state pass moved %d keys", moved)
+		if pushed, done := srvs[0].ReconcilePass(ctx); pushed != 0 || !done {
+			b.Fatalf("steady-state pass pushed %d keys, done=%v", pushed, done)
 		}
 	}
 	b.ReportMetric(float64(residents), "keys/pass")

@@ -116,6 +116,18 @@ func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
 	return c.do(ctx, http.MethodGet, path, nil)
 }
 
+// getJSON GETs path and decodes the JSON reply into out.
+func (c *Client) getJSON(ctx context.Context, path string, out any) error {
+	raw, err := c.get(ctx, path)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("netcached: decoding %s: %w", path, err)
+	}
+	return nil
+}
+
 // do issues the request with the client's retry policy: up to
 // Retry.MaxAttempts tries, exponential backoff with deterministic jitter
 // between them, Retry-After honored on 429, and the circuit breaker (if
@@ -457,38 +469,26 @@ func (c *Client) Lookup(ctx context.Context, key string) ([]byte, bool, error) {
 }
 
 // PushResult hands a locally stored result to the server (PUT
-// /v1/result/{key}) — the hinted-handoff push used by the repair loop.
+// /v1/result/{key}) — the push of the replica reconciler.
 func (c *Client) PushResult(ctx context.Context, key string, body []byte) error {
 	_, err := c.do(ctx, http.MethodPut, "/v1/result/"+key, body)
 	return err
 }
 
 // ClusterStatus fetches /v1/cluster: ring parameters, per-peer health, and
-// the handoff backlog.
+// the replica reconciler's state.
 func (c *Client) ClusterStatus(ctx context.Context) (ClusterResponse, error) {
-	raw, err := c.get(ctx, "/v1/cluster")
-	if err != nil {
-		return ClusterResponse{}, err
-	}
 	var resp ClusterResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return ClusterResponse{}, fmt.Errorf("netcached: decoding cluster status: %w", err)
-	}
-	return resp, nil
+	err := c.getJSON(ctx, "/v1/cluster", &resp)
+	return resp, err
 }
 
 // Membership fetches the server's current membership view (epoch + peer
 // set) from GET /v1/cluster/membership — the gossip pull primitive.
 func (c *Client) Membership(ctx context.Context) (cluster.Membership, error) {
-	raw, err := c.get(ctx, "/v1/cluster/membership")
-	if err != nil {
-		return cluster.Membership{}, err
-	}
 	var m cluster.Membership
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return cluster.Membership{}, fmt.Errorf("netcached: decoding membership: %w", err)
-	}
-	return m, nil
+	err := c.getJSON(ctx, "/v1/cluster/membership", &m)
+	return m, err
 }
 
 // UpdateMembership applies a membership change (cluster.ActionJoin,
@@ -514,33 +514,21 @@ func (c *Client) offerMembership(ctx context.Context, m cluster.Membership) erro
 	return err
 }
 
-// rangeDigest fetches the peer's digest of one anti-entropy key range,
-// restricted to keys both asker and peer replicate.
-func (c *Client) rangeDigest(ctx context.Context, rng int, asker string) (DigestResponse, error) {
-	raw, err := c.get(ctx, fmt.Sprintf("/v1/cluster/digest?range=%d&peer=%s", rng, url.QueryEscape(asker)))
-	if err != nil {
-		return DigestResponse{}, err
-	}
+// digests fetches the peer's 16 range digests over the keys both it and
+// asker replicate.
+func (c *Client) digests(ctx context.Context, asker string) (DigestResponse, error) {
 	var resp DigestResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return DigestResponse{}, fmt.Errorf("netcached: decoding digest: %w", err)
-	}
-	return resp, nil
+	err := c.getJSON(ctx, "/v1/cluster/digest?peer="+url.QueryEscape(asker), &resp)
+	return resp, err
 }
 
-// rangeKeys fetches the peer's key list for one anti-entropy range, same
-// restriction as rangeDigest — the expensive half, fetched only on digest
-// mismatch.
-func (c *Client) rangeKeys(ctx context.Context, rng int, asker string) (KeysResponse, error) {
-	raw, err := c.get(ctx, fmt.Sprintf("/v1/cluster/keys?range=%d&peer=%s", rng, url.QueryEscape(asker)))
-	if err != nil {
-		return KeysResponse{}, err
-	}
+// rangeKeys fetches the keys of one range that the peer holds and
+// replicates: the expensive half, fetched only when digests cannot
+// confirm the range.
+func (c *Client) rangeKeys(ctx context.Context, rng int) (KeysResponse, error) {
 	var resp KeysResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return KeysResponse{}, fmt.Errorf("netcached: decoding keys: %w", err)
-	}
-	return resp, nil
+	err := c.getJSON(ctx, "/v1/cluster/keys?range="+strconv.Itoa(rng), &resp)
+	return resp, err
 }
 
 // Apps fetches the Table 4 application list.
@@ -569,15 +557,9 @@ func (c *Client) Health(ctx context.Context) (string, error) {
 // StoreStats fetches /v1/stats: the storage engine's per-tier occupancy
 // and maintenance counters, plus the server's degraded flag.
 func (c *Client) StoreStats(ctx context.Context) (StatsResponse, error) {
-	raw, err := c.get(ctx, "/v1/stats")
-	if err != nil {
-		return StatsResponse{}, err
-	}
 	var resp StatsResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return StatsResponse{}, fmt.Errorf("netcached: decoding stats: %w", err)
-	}
-	return resp, nil
+	err := c.getJSON(ctx, "/v1/stats", &resp)
+	return resp, err
 }
 
 // Metrics fetches the Prometheus exposition text.

@@ -13,6 +13,7 @@ import (
 
 	"netcache"
 	"netcache/internal/cluster"
+	"netcache/internal/store"
 )
 
 // internodeHeader marks a request proxied from a peer. The receiving node
@@ -146,8 +147,8 @@ func (s *Server) upstreamFetch(ctx context.Context, key string) ([]byte, bool) {
 	return body, true
 }
 
-// storeFill persists bytes obtained from a peer or upstream, honoring
-// degraded-mode gating exactly like a post-simulation Put.
+// storeFill persists a result simulated here or obtained from a peer or
+// upstream, honoring degraded-mode gating.
 func (s *Server) storeFill(key string, body []byte) {
 	if s.cfg.Store == nil || !s.allowPut() {
 		return
@@ -159,140 +160,17 @@ func (s *Server) storeFill(key string, body []byte) {
 	}
 }
 
-// hintHandoff enqueues a hinted handoff: key was recomputed here because
-// its owner was unreachable; the repair loop pushes it home later.
-func (s *Server) hintHandoff(key string) {
-	cl := s.cfg.Cluster
-	if cl == nil || s.cfg.Store == nil {
-		return
-	}
-	owner := cl.Owner(key)
-	if owner == cl.Self() {
-		return
-	}
-	if err := s.cfg.Store.HandoffAdd(key, owner); err != nil {
-		s.cfg.Log.Printf("handoff hint %s -> %s: %v", key[:8], owner, err)
-		return
-	}
-	s.m.add(&s.m.handoffQueued)
-}
-
-// startRepair launches the handoff repair loop.
-func (s *Server) startRepair() {
-	interval := s.cfg.RepairInterval
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	s.repairStop = make(chan struct{})
-	s.repairDone = make(chan struct{})
-	go func() {
-		defer close(s.repairDone)
-		// Jittered ±25%: replicas restarted together must not replay their
-		// handoff queues against the same recovered owner in lockstep.
-		t := time.NewTimer(jitter(interval))
-		defer t.Stop()
-		for {
-			select {
-			case <-s.repairStop:
-				return
-			case <-t.C:
-				s.RepairHandoffs(s.base)
-				t.Reset(jitter(interval))
-			}
-		}
-	}()
-}
-
-// stopRepair stops the repair loop, if running. Idempotent.
-func (s *Server) stopRepair() {
-	if s.repairStop == nil {
-		return
-	}
-	s.repairOnce.Do(func() { close(s.repairStop) })
-	<-s.repairDone
-}
-
-// RepairHandoffs replays pending hinted handoffs whose owner is reachable:
-// the locally stored bytes are pushed to the owner with PUT
-// /v1/result/{key} and the hint dropped on success. It returns how many
-// hints were pushed. The background loop calls it every RepairInterval;
-// tests and operators may force a pass.
-func (s *Server) RepairHandoffs(ctx context.Context) (pushed int) {
-	st, cl := s.cfg.Store, s.cfg.Cluster
-	if st == nil || cl == nil {
-		return 0
-	}
-	for _, e := range st.HandoffPending() {
-		if ctx.Err() != nil {
-			return pushed
-		}
-		if e.Owner == cl.Self() || !cl.Member(e.Owner) {
-			// Our own key (ring view healed) or a peer no longer in the
-			// set: the hint is stale, the local copy is already served.
-			st.HandoffRemove(e.Key)
-			continue
-		}
-		if !cl.Up(e.Owner) {
-			continue // still down; keep the hint
-		}
-		// Probe before pushing: the owner may already hold the key (it
-		// recomputed it itself, a rebalance pass moved it, or another
-		// replica's hint won the race). A store-only lookup costs a small
-		// GET; re-sending the body costs the whole value. A failed probe
-		// falls through to the push — an extra write is never wrong.
-		if _, found, err := s.peerClient(e.Owner).Lookup(ctx, e.Key); err == nil && found {
-			st.HandoffRemove(e.Key)
-			s.m.add(&s.m.handoffReaped)
-			continue
-		}
-		body, ok := st.Get(e.Key)
-		if !ok {
-			// Evicted before the owner recovered: the value is gone but
-			// recomputable, so the hint is moot.
-			st.HandoffRemove(e.Key)
-			continue
-		}
-		if err := s.peerClient(e.Owner).PushResult(ctx, e.Key, body); err != nil {
-			var se *StatusError
-			if !errors.As(err, &se) && ctx.Err() == nil {
-				cl.MarkDown(e.Owner)
-			}
-			s.cfg.Log.Printf("handoff push %s -> %s: %v", e.Key[:8], e.Owner, err)
-			continue
-		}
-		st.HandoffRemove(e.Key)
-		s.m.add(&s.m.handoffPushed)
-		pushed++
-	}
-	return pushed
-}
-
 // --- cluster endpoints ------------------------------------------------------
-
-// validResultKey accepts hex SHA-256 strings, mirroring the store's own
-// key validation so /v1/result can reject junk before touching disk.
-func validResultKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
-			return false
-		}
-	}
-	return true
-}
 
 // maxPushBytes caps a PUT /v1/result body.
 const maxPushBytes = 64 << 20
 
 // handleResult serves GET/PUT /v1/result/{key}: a store-only lookup that
-// never simulates (the upstream read-through primitive), and the handoff
-// push target that lets a peer hand a recomputed result to its owner.
+// never simulates (the upstream read-through primitive), and the push
+// target of the peers' replica reconcilers.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := strings.TrimPrefix(r.URL.Path, "/v1/result/")
-	if !validResultKey(key) {
+	if !store.ValidKey(key) {
 		s.writeError(w, "/v1/result", http.StatusBadRequest, "key must be 64 hex chars")
 		return
 	}
@@ -330,7 +208,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if !s.allowPut() {
-			// Degraded: tell the pusher to keep its hint and retry later.
+			// Degraded: the pusher retries on its next pass.
 			s.writeError(w, "/v1/result", http.StatusServiceUnavailable, "store degraded; retry later")
 			return
 		}
@@ -340,7 +218,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.putSucceeded()
-		s.m.add(&s.m.handoffReceived)
+		s.m.add(&s.m.repairReceived)
 		s.m.request("/v1/result", http.StatusOK)
 		w.Header().Set("Content-Type", "application/json")
 		w.Write([]byte(`{"stored":true}` + "\n"))
@@ -364,20 +242,13 @@ type ClusterResponse struct {
 	Epoch uint64 `json:"epoch"`
 	Left  bool   `json:"left,omitempty"`
 
-	// HandoffDepth counts queued hinted handoffs; HandoffAgeSeconds is the
-	// oldest hint's age — together the repair loop's backlog signal.
-	HandoffDepth      int     `json:"handoff_depth"`
-	HandoffAgeSeconds float64 `json:"handoff_age_seconds"`
-
-	// Rebalance and AntiEntropy summarize the churn-repair machinery; a
-	// draining node is safe to stop once Rebalance.Done holds at the epoch
-	// that decommissioned it.
-	Rebalance   *RebalanceStatus   `json:"rebalance,omitempty"`
-	AntiEntropy *AntiEntropyStatus `json:"anti_entropy,omitempty"`
+	// Repair is the replica reconciler's state; a draining node is safe to
+	// stop once Repair.Done holds at the epoch that decommissioned it.
+	Repair *RepairStatus `json:"repair,omitempty"`
 }
 
 // handleCluster serves GET /v1/cluster: ring parameters, per-peer health,
-// and handoff backlog. On a non-clustered server it reports enabled=false.
+// and repair state. On a non-clustered server it reports enabled=false.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.writeError(w, "/v1/cluster", http.StatusMethodNotAllowed, "GET only")
@@ -392,21 +263,13 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		resp.Peers = cl.Status()
 		resp.Epoch = cl.Epoch()
 		resp.Left = cl.Left()
-		reb := s.RebalanceStatus()
-		resp.Rebalance = &reb
-		ae := s.AntiEntropyStatus()
-		resp.AntiEntropy = &ae
+		rs := s.RepairStatus()
+		resp.Repair = &rs
 	}
 	if s.cfg.Upstream != nil {
 		resp.Upstream = s.cfg.Upstream.BaseURL
 	}
-	if s.cfg.Store != nil {
-		resp.HandoffDepth = s.cfg.Store.HandoffDepth()
-		resp.HandoffAgeSeconds = s.cfg.Store.HandoffAge().Seconds()
-	}
-	s.m.request("/v1/cluster", http.StatusOK)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	s.writeJSON(w, "/v1/cluster", resp)
 }
 
 // jitter spreads a maintenance interval uniformly over [0.75d, 1.25d]; see

@@ -256,8 +256,8 @@ func TestClusterSweepExactlyOnce(t *testing.T) {
 		if v := metricValue(t, text, "netcached_cluster_fallback_recomputes_total"); v != 0 {
 			t.Fatalf("node %s fell back to recompute %d times in a healthy cluster", n.url, v)
 		}
-		if v := metricValue(t, text, "netcached_cluster_handoff_depth"); v != 0 {
-			t.Fatalf("node %s queued %d handoffs in a healthy cluster", n.url, v)
+		if v := metricValue(t, text, "netcached_cluster_repair_pushed_total"); v != 0 {
+			t.Fatalf("node %s pushed %d replicas in a healthy cluster", n.url, v)
 		}
 	}
 	if gotProxies != int64(wantProxies) {
@@ -304,9 +304,9 @@ func TestClusterSweepExactlyOnce(t *testing.T) {
 // with the chaos injector armed on every node's HTTP layer: a 12x4 sweep
 // starts against a healthy 3-node cluster, one member is killed mid-sweep,
 // the survivors complete the sweep byte-identically via recompute fallback
-// (hinting the dead owner's keys), and once the member returns the hinted
-// handoff queue drains to zero and the revived node serves its pushed keys
-// without simulating.
+// (their reconcilers cannot reach the dead owner, so no pass is Done), and
+// once the member returns the reconcilers push its keys home, report Done,
+// and the revived node serves its pushed keys without simulating.
 func TestClusterPartitionFlap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("partition flap runs the full figure corpus; skipped in -short")
@@ -346,8 +346,8 @@ func TestClusterPartitionFlap(t *testing.T) {
 	nodes[victim].stop(t)
 
 	// Phase 2: survivors finish the sweep. Keys owned by the victim are
-	// recomputed locally and hinted for handoff.
-	var hinted []int
+	// recomputed locally, and stay there until the victim returns.
+	var fellBack []int
 	for i := half; i < len(specs); i++ {
 		entry := nodes[i%2].c // round-robin over the two survivors
 		raw, err := entry.RunRaw(ctx, specs[i])
@@ -358,25 +358,50 @@ func TestClusterPartitionFlap(t *testing.T) {
 			t.Fatalf("phase 2 spec %d: bytes differ from baseline with a peer down", i)
 		}
 		if nodes[0].cl.Owner(keys[i]) == nodes[victim].url {
-			hinted = append(hinted, i)
+			fellBack = append(fellBack, i)
 		}
 	}
-	if len(hinted) == 0 {
+	if len(fellBack) == 0 {
 		t.Fatal("ring assigned the victim no phase-2 keys; partition exercised nothing")
 	}
-	depth := nodes[0].st.HandoffDepth() + nodes[1].st.HandoffDepth()
-	if depth != len(hinted) {
-		t.Fatalf("handoff depth across survivors = %d, want %d", depth, len(hinted))
+	for _, i := range fellBack {
+		if _, ok0 := nodes[0].st.Get(keys[i]); !ok0 {
+			if _, ok1 := nodes[1].st.Get(keys[i]); !ok1 {
+				t.Fatalf("recomputed key %s held by neither survivor", keys[i][:8])
+			}
+		}
+	}
+	for _, n := range nodes[:2] {
+		holdsVictims := false
+		for _, key := range keys {
+			if _, ok := n.st.Get(key); ok && n.cl.Owner(key) == nodes[victim].url {
+				holdsVictims = true
+			}
+		}
+		if _, done := n.srv.ReconcilePass(ctx); holdsVictims && done {
+			t.Fatalf("%s: pass Done while the owner of keys it holds is down", n.url)
+		}
 	}
 
 	// Flap back: the victim returns on the same address with its old store.
 	revived := restartNode(t, nodes, victim, 1, chaos)
 
-	// Probes revive the peer, the repair loops push every hint home.
-	waitFor(t, "handoff queue drain", func() bool {
-		return nodes[0].st.HandoffDepth()+nodes[1].st.HandoffDepth() == 0
+	// Probes revive the peer, the reconcilers push its keys home.
+	waitFor(t, "recomputed keys to reach the revived owner", func() bool {
+		for _, i := range fellBack {
+			if _, ok := revived.st.Get(keys[i]); !ok {
+				return false
+			}
+		}
+		return true
 	})
-	for _, i := range hinted {
+	for _, n := range nodes[:2] {
+		waitFor(t, "survivor pass to be Done", func() bool {
+			_, done := n.srv.ReconcilePass(ctx)
+			return done
+		})
+	}
+	for _, i := range fellBack {
 		if body, ok := revived.st.Get(keys[i]); !ok {
 			t.Fatalf("pushed key %s missing from revived owner", keys[i][:8])
 		} else if !bytes.Equal(body, baseline[i]) {
@@ -538,6 +563,26 @@ func TestUpstreamReadThrough(t *testing.T) {
 	}
 	if v := metricValue(t, text, "netcached_upstream_misses_total"); v != 1 {
 		t.Fatalf("upstream misses = %d, want 1", v)
+	}
+
+	// /v1/result rejects malformed keys before touching the store: non-hex
+	// characters and lengths other than 64 are 400s, for lookups and pushes.
+	hex64 := strings.Repeat("0123456789abcdef", 4)
+	for _, key := range []string{strings.Repeat("g", 64), strings.ToUpper(hex64), hex64[:63], hex64 + "0"} {
+		for _, method := range []string{http.MethodGet, http.MethodPut} {
+			req, err := http.NewRequest(method, downClient.BaseURL+"/v1/result/"+key, strings.NewReader(`{}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := downClient.HTTPClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s /v1/result/%s = %d, want 400", method, key, resp.StatusCode)
+			}
+		}
 	}
 }
 

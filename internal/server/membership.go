@@ -135,7 +135,7 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		s.writeMembership(w, cl.Membership())
+		s.writeJSON(w, "/v1/cluster/membership", cl.Membership())
 	case http.MethodPost:
 		var req MembershipRequest
 		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
@@ -152,7 +152,7 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 				s.writeError(w, "/v1/cluster/membership", http.StatusBadRequest, err.Error())
 				return
 			}
-			s.writeMembership(w, cl.Membership())
+			s.writeJSON(w, "/v1/cluster/membership", cl.Membership())
 		case cluster.ActionJoin, cluster.ActionRemove, cluster.ActionDecommission:
 			old := cl.Membership()
 			m, err := cl.Update(req.Action, req.Peer)
@@ -166,17 +166,11 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 			// draining), and the subject peer (a joiner learns the full ring).
 			targets := append(append([]string{req.Peer}, old.Peers...), m.Peers...)
 			s.pushMembership(m, targets)
-			s.writeMembership(w, m)
+			s.writeJSON(w, "/v1/cluster/membership", m)
 		default:
 			s.writeError(w, "/v1/cluster/membership", http.StatusBadRequest, "unknown action "+strconv.Quote(req.Action))
 		}
 	default:
 		s.writeError(w, "/v1/cluster/membership", http.StatusMethodNotAllowed, "GET or POST")
 	}
-}
-
-func (s *Server) writeMembership(w http.ResponseWriter, m cluster.Membership) {
-	s.m.request("/v1/cluster/membership", http.StatusOK)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(m)
 }

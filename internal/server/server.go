@@ -20,15 +20,16 @@
 // With a cluster configured (internal/cluster), N servers form one logical
 // store: a non-owner first checks its local store, then proxies the miss to
 // the key's owner over the resilient inter-node client, and — when every
-// replica is unreachable — recomputes deterministically, leaving a hinted
-// handoff that a background repair loop pushes to the owner once it
-// recovers. An optional upstream tier is consulted read-through before
-// simulating, so a local cluster can chain behind a regional one.
+// replica is unreachable — recomputes deterministically and stores the
+// result locally, where the replica reconciler (reconcile.go) finds it and
+// pushes it to the owner once it recovers. An optional upstream tier is
+// consulted read-through before simulating, so a local cluster can chain
+// behind a regional one.
 //
 // Endpoints: POST /v1/run, POST /v1/batch, GET /v1/apps, GET /v1/stats
 // (per-tier store occupancy and maintenance counters as JSON), GET/PUT
-// /v1/result/{key} (store-only lookup / handoff push), GET /v1/cluster
-// (ring + peer health + handoff introspection), GET /healthz, GET /metrics
+// /v1/result/{key} (store-only lookup / replica push), GET /v1/cluster
+// (ring, peer health and repair state), GET /healthz, GET /metrics
 // (Prometheus text format).
 package server
 
@@ -93,10 +94,10 @@ type Config struct {
 
 	// Cluster, when non-nil, makes this server one node of a
 	// consistent-hash cluster: misses on keys owned elsewhere are proxied
-	// to the owner, owner outages fall back to local recomputation with
-	// hinted handoff, and the repair loop pushes hints once owners
-	// recover. The server owns the cluster's probe and repair lifecycles:
-	// New starts them, Shutdown stops them.
+	// to the owner, owner outages fall back to local recomputation, and the
+	// replica reconciler pushes every key to the peers the ring places it
+	// on. The server owns the cluster's probe and repair lifecycles: New
+	// starts them, Shutdown stops them.
 	Cluster *cluster.Cluster
 
 	// Internode returns the client used to reach a peer; nil uses a
@@ -110,24 +111,21 @@ type Config struct {
 	// behind an upstream cache.
 	Upstream *Client
 
-	// RepairInterval is the hinted-handoff repair loop period
-	// (<= 0: 5s). The loop only runs with both Cluster and Store set.
+	// RepairInterval is the replica reconciler's period (<= 0: 30s).
+	// Membership adoptions additionally wake it at once; the timer is the
+	// retry schedule for passes that ended with errors. The reconciler
+	// runs only with both Cluster and Store set.
 	RepairInterval time.Duration
 
-	// RebalanceInterval is the streaming-rebalance mover's periodic pass
-	// interval (<= 0: 30s). Membership adoptions additionally wake the
-	// mover immediately; the timer is the retry schedule for passes that
-	// ended with errors. Runs only with both Cluster and Store set.
-	RebalanceInterval time.Duration
-
-	// RebalanceRate caps how many keys per second the mover pushes to
-	// peers (<= 0: unlimited), so a rebalance cannot starve serving
-	// traffic of disk and network bandwidth.
+	// RebalanceRate caps how many keys per second the reconciler pushes to
+	// peers (<= 0: unlimited), so moving a ring's worth of keys cannot
+	// starve serving traffic of disk and network bandwidth.
 	RebalanceRate int
 
-	// AntiEntropyInterval is the replica-repair sweep period (<= 0: 1m):
-	// per-range key digests are compared with each live peer and missing
-	// entries re-replicated. Runs only with both Cluster and Store set.
+	// Deprecated: ignored; RepairInterval is the reconciler's only period.
+	RebalanceInterval time.Duration
+
+	// Deprecated: ignored; RepairInterval is the reconciler's only period.
 	AntiEntropyInterval time.Duration
 }
 
@@ -164,25 +162,19 @@ type Server struct {
 	validApps map[string]bool
 
 	// Cluster plumbing: lazily built per-peer clients, in-flight gossip
-	// pulls, and the background loops' lifecycles (handoff repair,
-	// streaming rebalance, anti-entropy).
+	// pulls, and the replica reconciler: its loop's lifecycle, its status,
+	// and, owned by the pass holding passSem, the confirmed ranges of the
+	// current epoch.
 	peerMu      sync.Mutex
 	peerClients map[string]*Client
 	syncing     map[string]bool // peers with a membership pull in flight
-	repairStop  chan struct{}
+	repairStop  context.CancelFunc
 	repairDone  chan struct{}
-	repairOnce  sync.Once
-	rebalStop   chan struct{}
-	rebalDone   chan struct{}
-	rebalWake   chan struct{}
-	rebalOnce   sync.Once
-	rebalMu     sync.Mutex
-	rebal       RebalanceStatus
-	antiStop    chan struct{}
-	antiDone    chan struct{}
-	antiOnce    sync.Once
-	antiMu      sync.Mutex
-	anti        AntiEntropyStatus
+	repairMu    sync.Mutex
+	repair      RepairStatus
+	passSem     chan struct{} // one token: passes run one at a time
+	memo        map[memoKey]rangeMemo
+	memoEpoch   uint64
 }
 
 // call is one in-flight keyed computation; followers wait on done.
@@ -258,9 +250,7 @@ func New(cfg Config) *Server {
 		})
 		cfg.Cluster.StartProbes()
 		if cfg.Store != nil {
-			s.startRepair()
-			s.startRebalance()
-			s.startAntiEntropy()
+			s.startReconciler()
 		}
 	}
 	return s
@@ -314,14 +304,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.closing = true
 	s.mu.Unlock()
 
-	// Stop the cluster loops first: no new probes, proxies, handoff
-	// pushes, rebalance walks, or anti-entropy sweeps while draining.
+	// Stop the cluster loops first: no new probes or repair pushes while
+	// draining.
 	if s.cfg.Cluster != nil {
 		s.cfg.Cluster.Close()
 	}
-	s.stopRepair()
-	s.stopRebalance()
-	s.stopAntiEntropy()
+	s.stopReconciler()
 
 	drained := make(chan struct{})
 	go func() {
@@ -353,6 +341,13 @@ func (s *Server) writeError(w http.ResponseWriter, path string, code int, msg st
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(errorBody{Error: msg})
+}
+
+// writeJSON answers 200 with v encoded as JSON.
+func (s *Server) writeJSON(w http.ResponseWriter, path string, v any) {
+	s.m.request(path, http.StatusOK)
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(v)
 }
 
 func (s *Server) writeOutcome(w http.ResponseWriter, path string, out outcome) {
@@ -460,9 +455,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results[i] = e
 	}
-	s.m.request("/v1/batch", http.StatusOK)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	s.writeJSON(w, "/v1/batch", resp)
 }
 
 // AppInfo describes one Table 4 application on GET /v1/apps.
@@ -478,9 +471,7 @@ func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
 		desc, input := netcache.DescribeApp(name)
 		infos = append(infos, AppInfo{Name: name, Desc: desc, Input: input})
 	}
-	s.m.request("/v1/apps", http.StatusOK)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(infos)
+	s.writeJSON(w, "/v1/apps", infos)
 }
 
 // StatsResponse is the GET /v1/stats body: the storage engine's per-tier
@@ -502,9 +493,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.HasStore = true
 		resp.Store = s.cfg.Store.Stats()
 	}
-	s.m.request("/v1/stats", http.StatusOK)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	s.writeJSON(w, "/v1/stats", resp)
 }
 
 // handleHealth reports the serving state: 200 "ok" (fully healthy), 200
@@ -648,8 +637,8 @@ func (s *Server) lead(ctx context.Context, key string, spec netcache.RunSpec, in
 		}
 		// Every replica is unreachable. Results are deterministic
 		// recomputations, so a down owner costs latency, not correctness:
-		// compute locally, and (after the Put below) leave a hint for the
-		// repair loop to push once the owner recovers.
+		// compute locally; the reconciler pushes the stored result to the
+		// owner once it recovers.
 		s.m.add(&s.m.clusterFallbacks)
 	}
 
@@ -712,20 +701,7 @@ func (s *Server) lead(ctx context.Context, key string, spec netcache.RunSpec, in
 	if err != nil {
 		return outcome{code: http.StatusInternalServerError, errMsg: "encoding result: " + err.Error()}
 	}
-	if s.cfg.Store != nil {
-		if s.allowPut() {
-			if err := s.cfg.Store.Put(key, body); err != nil {
-				s.putFailed(key, err)
-			} else {
-				s.putSucceeded()
-				if !owned {
-					// Recompute fallback on a non-replica: the bytes are
-					// safe locally; hint them to the owner.
-					s.hintHandoff(key)
-				}
-			}
-		}
-	}
+	s.storeFill(key, body)
 	return outcome{code: http.StatusOK, body: body}
 }
 

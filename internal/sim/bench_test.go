@@ -3,9 +3,9 @@ package sim
 // Micro-benchmarks for the scheduler hot path. Every simulated memory
 // reference pays for one Schedule/fire cycle (protocol events) and/or one
 // Invoke round trip (processor services), so these two paths bound
-// end-to-end simulation throughput. The committed baseline lives in
-// BENCH_engine.json at the repository root; CI compares fresh runs against
-// it with benchstat and warns on >10% regressions.
+// end-to-end simulation throughput. Numbers compare only within one host;
+// the end-to-end judgement of a change is `bash perfbench/run.sh` on its
+// parent and on it, then `perfbench compare` (see perfbench/README.md).
 
 import "testing"
 

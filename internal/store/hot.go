@@ -213,7 +213,7 @@ func (h *hotTier) scanLRU() []hotEntry {
 			continue
 		}
 		key := strings.TrimSuffix(e.Name(), suffix)
-		if !validKey(key) {
+		if !ValidKey(key) {
 			continue
 		}
 		info, err := e.Info()

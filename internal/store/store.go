@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sort"
 	"sync"
 	"time"
 )
@@ -233,8 +234,8 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) Hot() Backend  { return s.hot }
 func (s *Store) Cold() Backend { return s.cold }
 
-// validKey accepts hex SHA-256 strings only, so keys can never escape dir.
-func validKey(key string) bool {
+// ValidKey accepts hex SHA-256 strings only, so keys can never escape dir.
+func ValidKey(key string) bool {
 	if len(key) != 2*sha256.Size {
 		return false
 	}
@@ -247,6 +248,28 @@ func validKey(key string) bool {
 	return true
 }
 
+// Keys lists every key resident in either tier, sorted ascending. Keys in
+// both tiers (promotion races) appear once. The listing is a snapshot:
+// concurrent puts and evictions may or may not be reflected — acceptable
+// for the replica reconciler, whose next pass sees them.
+func (s *Store) Keys() []string {
+	seen := make(map[string]bool)
+	for _, e := range s.hot.scanLRU() {
+		seen[e.key] = true
+	}
+	s.cold.mu.Lock()
+	for key := range s.cold.index {
+		seen[key] = true
+	}
+	s.cold.mu.Unlock()
+	out := make([]string, 0, len(seen))
+	for key := range seen {
+		out = append(out, key)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // Get returns the stored value for key, trying the hot tier first, then
 // cold segments. A cold hit is promoted back into the hot tier (the entry
 // is active again). Any failure — absent, injected read error, header,
@@ -254,7 +277,7 @@ func validKey(key string) bool {
 // and corrupt bytes are dropped or dead-marked so they cannot shadow the
 // rewrite.
 func (s *Store) Get(key string) ([]byte, bool) {
-	if !validKey(key) {
+	if !ValidKey(key) {
 		s.miss(false)
 		return nil, false
 	}
@@ -305,7 +328,7 @@ func (s *Store) miss(corrupt bool) {
 // Put stores value under key in the hot tier. Oversized stores evict per
 // the cross-tier LRU budget.
 func (s *Store) Put(key string, value []byte) error {
-	if !validKey(key) {
+	if !ValidKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
 	if err := s.hot.put(key, value); err != nil {

@@ -467,3 +467,49 @@ func TestConcurrentCorruptDrop(t *testing.T) {
 		t.Fatalf("corrupters never tripped a drop: %+v", st)
 	}
 }
+
+func TestStoreKeys(t *testing.T) {
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	if got := s.Keys(); len(got) != 0 {
+		t.Fatalf("empty store lists %v", got)
+	}
+	want := make(map[string]bool)
+	for i := 0; i < 10; i++ {
+		k := keyOf(fmt.Sprintf("keys-%d", i))
+		want[k] = true
+		if err := s.Put(k, []byte(fmt.Sprintf("value-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Migrate half to the cold tier so the listing spans both.
+	var batch []segEntry
+	for i := 0; i < 5; i++ {
+		k := keyOf(fmt.Sprintf("keys-%d", i))
+		v, _ := s.Get(k)
+		batch = append(batch, segEntry{key: k, value: v})
+	}
+	if err := s.cold.PutBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		s.hot.Delete(keyOf(fmt.Sprintf("keys-%d", i)))
+	}
+
+	got := s.Keys()
+	if len(got) != len(want) {
+		t.Fatalf("Keys() = %d entries, want %d: %v", len(got), len(want), got)
+	}
+	for i, k := range got {
+		if !want[k] {
+			t.Fatalf("unexpected key %s", k)
+		}
+		if i > 0 && got[i-1] >= k {
+			t.Fatal("Keys() not sorted ascending")
+		}
+	}
+}

@@ -1,9 +1,11 @@
 package netcache_test
 
-// Sampled-vs-full wall-clock benchmarks: the committed BENCH_sampling.json
-// baseline keeps the sampled-mode speedup visible in CI — a change that
-// quietly drags sampled runs back toward full-run cost shows up as a
-// benchmark regression even while every accuracy test still passes.
+// Sampled-vs-full wall-clock benchmarks keep the sampled-mode speedup
+// visible: a change that quietly drags sampled runs back toward full-run
+// cost shows up here even while every accuracy test still passes. Numbers
+// compare only within one host; the end-to-end judgement of a change is
+// `bash perfbench/run.sh` on its parent and on it, then `perfbench
+// compare` (see perfbench/README.md).
 
 import (
 	"testing"

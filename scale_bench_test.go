@@ -1,11 +1,13 @@
 package netcache_test
 
-// Big-machine scaling benchmarks: the committed BENCH_scale.json baseline
-// tracks the wall clock of the sampled 12-application corpus at 16, 64 and
-// 256 nodes, so a change that reintroduces an O(P) or O(P^2) per-reference
-// cost shows up as a P=256 regression in CI even while the P=16 figures
-// stay flat. The live-heap metric guards the config-sized (rather than
-// MaxProcs-sized) allocation discipline the same way.
+// Big-machine scaling benchmarks: the wall clock of the sampled
+// 12-application corpus at 16, 64 and 256 nodes, so a change that
+// reintroduces an O(P) or O(P^2) per-reference cost shows up as a P=256
+// regression even while the P=16 figures stay flat. The live-heap metric
+// guards the config-sized (rather than MaxProcs-sized) allocation
+// discipline the same way. Numbers compare only within one host; the
+// end-to-end judgement of a change is `bash perfbench/run.sh` on its
+// parent and on it, then `perfbench compare` (see perfbench/README.md).
 
 import (
 	"fmt"
