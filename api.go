@@ -83,7 +83,7 @@ func Run(spec RunSpec) (Result, error) {
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled or times out,
-// the simulation engine aborts promptly (joining all processor goroutines)
+// the simulation engine aborts promptly (unwinding every processor coroutine)
 // and the error wraps ctx.Err(). Cancellation is polled between engine
 // steps only, so a context that never fires cannot perturb the run —
 // results stay bit-identical to Run.
@@ -92,26 +92,29 @@ func RunContext(ctx context.Context, spec RunSpec) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runApp(ctx, spec, app)
+	res, _, err := runApp(ctx, spec, app)
+	return res, err
 }
 
-// runApp executes one prepared app instance; split from RunContext so tests
-// can drive the pipeline with synthetic apps (e.g. a failing Verify).
-func runApp(ctx context.Context, spec RunSpec, app apps.App) (Result, error) {
+// runApp executes one prepared app instance and returns the machine it ran
+// on too (nil if it failed before building one); split from RunContext so
+// tests can drive the pipeline with synthetic apps (e.g. a failing Verify)
+// and read the engine's counters.
+func runApp(ctx context.Context, spec RunSpec, app apps.App) (Result, *Machine, error) {
 	if spec.Scale == 0 {
 		spec.Scale = 0.25
 	}
 	if err := spec.Config.Validate(); err != nil {
-		return Result{}, fmt.Errorf("netcache: %s on %s: %w", spec.App, spec.System, err)
+		return Result{}, nil, fmt.Errorf("netcache: %s on %s: %w", spec.App, spec.System, err)
 	}
 	m := NewMachine(spec.System, spec.Config)
 	if spec.Sampling.Enabled() {
 		plan, err := spec.Sampling.plan()
 		if err != nil {
-			return Result{}, err
+			return Result{}, nil, err
 		}
 		if err := m.AttachSampler(plan); err != nil {
-			return Result{}, fmt.Errorf("netcache: %s on %s: %w", spec.App, spec.System, err)
+			return Result{}, nil, fmt.Errorf("netcache: %s on %s: %w", spec.App, spec.System, err)
 		}
 	}
 	var tb *trace.Buffer
@@ -121,7 +124,7 @@ func runApp(ctx context.Context, spec RunSpec, app apps.App) (Result, error) {
 	app.Setup(m, spec.Scale)
 	rs, err := apps.RunContext(ctx, m, app)
 	if err != nil {
-		return Result{}, fmt.Errorf("netcache: %s on %s: %w", spec.App, spec.System, err)
+		return Result{}, m, fmt.Errorf("netcache: %s on %s: %w", spec.App, spec.System, err)
 	}
 	res := summarize(spec.App, rs)
 	if tb != nil {
@@ -134,10 +137,10 @@ func runApp(ctx context.Context, spec RunSpec, app apps.App) (Result, error) {
 			// Return the partial Result alongside the error: the recorded
 			// transaction tail (res.Trace) is most useful exactly when
 			// verification fails.
-			return res, fmt.Errorf("netcache: %s on %s: verification: %w", spec.App, spec.System, err)
+			return res, m, fmt.Errorf("netcache: %s on %s: verification: %w", spec.App, spec.System, err)
 		}
 	}
-	return res, nil
+	return res, m, nil
 }
 
 func summarize(app string, rs machine.RunStats) Result {

@@ -94,7 +94,7 @@ func TestRunBatchMidBatchCancellation(t *testing.T) {
 			t.Errorf("cancelled spec %d delivered a result", i)
 		}
 	}
-	// The engine joins every processor goroutine on abort; give the
+	// The engine unwinds every processor coroutine on abort; give the
 	// runtime a moment to retire them.
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

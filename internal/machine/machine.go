@@ -272,8 +272,8 @@ func (m *Machine) Run(body func(*Ctx)) (RunStats, error) {
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled (or its
-// deadline passes) the engine aborts the simulation promptly, joins every
-// processor goroutine, and returns an error wrapping ctx.Err(). The context
+// deadline passes) the engine aborts the simulation promptly, unwinds every
+// processor coroutine, and returns an error wrapping ctx.Err(). The context
 // is only polled between scheduler steps, so a context that never fires
 // cannot change the simulated timeline.
 func (m *Machine) RunContext(ctx context.Context, body func(*Ctx)) (RunStats, error) {

@@ -388,7 +388,7 @@ type sampler struct {
 	// (0: rounds disabled); roundLead marks the node orchestrating the
 	// current round; detached holds the member processors taken off the
 	// runnable heap; doneCh is the buffered park-notification channel (one
-	// slot per processor, so a parking member never blocks on it).
+	// slot per processor, so a finishing worker never blocks on it).
 	workers    int
 	roundQuota uint64
 	roundLead  *Node
@@ -495,7 +495,7 @@ func (s *sampler) step(p *sim.Proc, nd *Node) refMode {
 			}
 			// Member quota spent: park until the leader closes the round (or
 			// redrafts this processor into a later one with fresh quota).
-			s.roundPause(p)
+			p.Park()
 		}
 	}
 	r := s.refs
@@ -601,21 +601,14 @@ func (s *sampler) tryRound(r uint64, nd *Node) bool {
 	return true
 }
 
-// roundPause parks a member processor at a round boundary (quota spent, sync
-// point, or body exit): it signals the collector and blocks until released —
-// by the engine after the round closes, or by a later round redrafting it.
-func (s *sampler) roundPause(p *sim.Proc) {
-	s.doneCh <- struct{}{}
-	p.Park()
-}
-
 // collectRound closes the round its caller leads: members are released in ID
-// order onto at most `workers` concurrent slots and run until they park, then
-// — with every participant quiescent — their deferred effects are replayed
-// and scratch counters merged in strict node-ID order, making the final state
-// a pure function of the round composition, independent of the worker count
-// and of the actual interleaving. Runs in the leader's app context; the
-// engine stays parked on the leader's yield channel throughout.
+// order onto at most `workers` concurrent worker goroutines and run until
+// they park (quota spent, sync point, or body exit), then — with every
+// participant quiescent — their deferred effects are replayed and scratch
+// counters merged in strict node-ID order, making the final state a pure
+// function of the round composition, independent of the worker count and of
+// the actual interleaving. Runs in the leader's app context; the engine stays
+// suspended in the leader's resume throughout.
 func (s *sampler) collectRound(p *sim.Proc) {
 	members := s.detached
 	slots := s.workers
@@ -626,7 +619,7 @@ func (s *sampler) collectRound(p *sim.Proc) {
 			outstanding--
 			slots++
 		}
-		mp.Release()
+		go s.release(mp)
 		slots--
 		outstanding++
 	}
@@ -674,6 +667,15 @@ func (s *sampler) collectRound(p *sim.Proc) {
 	}
 }
 
+// release runs one round member on the calling worker goroutine until it
+// parks, then signals the collector. The signal follows Release's return, so
+// the member's coroutine has switched out before the round can close and the
+// engine resume it.
+func (s *sampler) release(mp *sim.Proc) {
+	mp.Release()
+	s.doneCh <- struct{}{}
+}
+
 // roundStop ends the caller's round participation before an engine
 // interaction (synchronization service or body exit): a leader collects the
 // round it leads; a member parks until the leader closes it.
@@ -683,7 +685,7 @@ func (s *sampler) roundStop(nd *Node, p *sim.Proc) {
 			s.collectRound(p)
 			return
 		}
-		s.roundPause(p)
+		p.Park()
 	}
 }
 

@@ -49,9 +49,8 @@ func BenchmarkScheduleFireDepth64(b *testing.B) {
 }
 
 // BenchmarkInvokeRoundTrip measures one processor service round trip: the
-// app yields, the service runs in engine context and resumes the processor,
-// and app code continues. On a single-processor engine with no pending
-// events the inline fast path applies; it must run at 0 allocs/op.
+// app suspends, the engine runs the service, which resumes the processor,
+// and the engine switches back into app code. It must run at 0 allocs/op.
 func BenchmarkInvokeRoundTrip(b *testing.B) {
 	e := NewEngine(1)
 	if _, err := e.Run(func(p *Proc) {
@@ -68,7 +67,7 @@ func BenchmarkInvokeRoundTrip(b *testing.B) {
 
 // BenchmarkInvokeContended is BenchmarkInvokeRoundTrip with four processors
 // advancing in lockstep, so services from different processors interleave
-// and the engine must arbitrate (the slow path for most invocations).
+// and the engine must arbitrate between them.
 func BenchmarkInvokeContended(b *testing.B) {
 	e := NewEngine(4)
 	b.ReportAllocs()

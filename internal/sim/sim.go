@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package sim implements a deterministic execution-driven simulation engine.
 //
 // The engine advances a single global clock over two kinds of actors:
@@ -6,37 +8,37 @@
 //     (update deliveries, acks, write-buffer drains) runs as events. Events
 //     live in a pooled, free-listed arena indexed by a 4-ary min-heap, so
 //     scheduling and firing are allocation-free in steady state.
-//   - Processors: goroutines executing real application code. Each processor
-//     has a local clock that advances as the application "computes"; whenever
-//     the application touches the simulated memory system or synchronizes, the
-//     processor yields to the engine and a service closure runs on its behalf
-//     in exclusive engine context.
+//   - Processors: coroutines (iter.Pull) executing real application code.
+//     Each processor has a local clock that advances as the application
+//     "computes"; whenever the application touches the simulated memory
+//     system or synchronizes, the processor suspends back to the engine and
+//     a service closure runs on its behalf in exclusive engine context.
 //
-// At any instant exactly one goroutine is runnable (either the engine or one
-// processor), and all handoffs go through unbuffered channels, so runs are
-// race-free and bit-deterministic: the engine always picks the action with
-// the smallest timestamp, breaking ties by (events first, then lowest
-// processor ID).
+// The engine loop resumes one processor coroutine at a time and waits until
+// it suspends again, so at any instant exactly one of them (or the engine)
+// executes, and every switch is a direct coroutine transfer with no trip
+// through the goroutine scheduler. Runs are therefore race-free and
+// bit-deterministic: the engine always picks the action with the smallest
+// timestamp, breaking ties by (events first, then lowest processor ID).
 //
 // Two structures keep the pick cheap: the event heap exposes the earliest
 // event in O(1), and runnable processors sit in an indexed min-heap keyed by
-// (clock, ID), updated incrementally as they change state. When the invoking
-// processor is itself the unique earliest actor, Proc.Invoke runs its service
-// inline on the processor goroutine — the engine is parked waiting on that
-// processor's yield, so engine exclusivity still holds — and skips the
-// two-channel handoff entirely. See DESIGN.md, "Engine internals".
+// (clock, ID), updated incrementally as they change state. See DESIGN.md,
+// "Engine internals".
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// interruptEvery is how many scheduler actions pass between Interrupt polls.
-// Actions are counted across the engine loop and the inline service fast
-// path, so polling is off the per-event hot path often enough to stay cheap
-// while still bounding abort latency to a few thousand events.
+// interruptEvery is how many scheduler actions pass between Interrupt polls:
+// off the per-event hot path often enough to stay cheap, while still
+// bounding abort latency to a few thousand events.
 const interruptEvery = 1024
 
-// abortSignal is panicked through app code to unwind a poisoned processor
-// goroutine during an engine abort. It never escapes the package.
+// abortSignal is panicked through app code to unwind a processor coroutine
+// that the engine stops during an abort. It never escapes the package.
 type abortSignal struct{}
 
 // Time is a simulation timestamp in processor cycles (pcycles).
@@ -61,7 +63,7 @@ type procState int
 
 const (
 	procIdle    procState = iota // not yet started
-	procRunning                  // executing app code; engine is waiting on its yield
+	procRunning                  // executing app code; engine is suspended in its resume
 	procService                  // yielded with a pending service closure
 	procResume                   // service finished; waiting to be resumed at clock
 	procBlocked                  // waiting for an external WakeAt
@@ -76,24 +78,27 @@ type Proc struct {
 	state procState
 	qi    int32 // index in the engine's runnable heap; -1 when absent
 
-	svc      func() // pending service, run in engine context at clock
-	resume   chan struct{}
-	yield    chan yieldKind
-	poisoned bool // set by the engine before resuming a proc it is aborting
+	svc func() // pending service, run in engine context at clock
+
+	// The processor's coroutine: next resumes it on the calling goroutine
+	// until it suspends (ok false once the app function has returned), stop
+	// unwinds it, and yield — valid only inside it — suspends it.
+	next  func() (yieldKind, bool)
+	stop  func()
+	yield func(yieldKind) bool
 
 	yieldFn func() // cached Yield service closure
 }
 
+// yieldKind tells the resumer why a processor coroutine suspended.
 type yieldKind int
 
 const (
+	// yieldService leaves a pending service in Proc.svc.
 	yieldService yieldKind = iota
-	// yieldInline hands control back after an inline-path service already
-	// ran on the processor goroutine: the proc's state and runnable-heap
-	// membership are already current, the engine only needs to resume its
-	// scheduling loop.
-	yieldInline
-	yieldDone
+	// yieldParked hands control back from Park, with the proc's state and
+	// runnable-heap membership already current.
+	yieldParked
 )
 
 // Engine drives the simulation.
@@ -122,20 +127,30 @@ type Engine struct {
 	procs  []*Proc
 	live   int
 	failed error
+
+	counts Counts
 }
+
+// Counts tallies the engine's own work over a run. Like the run's results
+// they are a pure function of its inputs; they say how the engine got there.
+type Counts struct {
+	// Resumes counts the engine loop's switches into a processor coroutine:
+	// one per processor start plus one per service, since every Invoke
+	// suspends the processor.
+	Resumes uint64
+	// Events counts fired events.
+	Events uint64
+}
+
+// Counts returns the engine's counters so far.
+func (e *Engine) Counts() Counts { return e.counts }
 
 // NewEngine creates an engine with n processor contexts.
 func NewEngine(n int) *Engine {
 	e := &Engine{}
 	e.procs = make([]*Proc, n)
 	for i := range e.procs {
-		e.procs[i] = &Proc{
-			ID:     i,
-			eng:    e,
-			qi:     -1,
-			resume: make(chan struct{}),
-			yield:  make(chan yieldKind),
-		}
+		e.procs[i] = &Proc{ID: i, eng: e, qi: -1}
 	}
 	return e
 }
@@ -286,6 +301,7 @@ func (e *Engine) fireNext() {
 	ev.fn, ev.afn = nil, nil
 	e.free = append(e.free, idx)
 	e.now = at
+	e.counts.Events++
 	if afn != nil {
 		afn(a0, a1)
 		return
@@ -380,23 +396,6 @@ func (e *Engine) runqRemove(p *Proc) {
 	}
 }
 
-// isNext reports whether running processor p is the unique earliest actor:
-// no pending event at or before its clock (events fire first on ties) and no
-// runnable processor that is earlier or equal-with-lower-ID. Only then may
-// its next service run inline without perturbing the schedule.
-func (e *Engine) isNext(p *Proc) bool {
-	if len(e.eheap) > 0 && e.arena[e.eheap[0]].at <= p.clock {
-		return false
-	}
-	if len(e.runq) > 0 {
-		q := e.runq[0]
-		if q.clock < p.clock || (q.clock == p.clock && q.ID < p.ID) {
-			return false
-		}
-	}
-	return true
-}
-
 func (e *Engine) fail(err error) {
 	if e.failed == nil {
 		e.failed = err
@@ -419,13 +418,13 @@ func (e *Engine) pollInterrupt() {
 // the final time (the maximum completion cycle over all processors).
 //
 // A panic in app code, and a non-nil Interrupt poll, both abort the run: the
-// engine unwinds and joins every processor goroutine (no leaks) and returns
-// the failure as an error.
+// engine unwinds every processor coroutine (no leaks) and returns the
+// failure as an error.
 func (e *Engine) Run(fn func(*Proc)) (Time, error) {
 	for _, p := range e.procs {
 		p.state = procResume
 		p.clock = 0
-		go p.run(fn)
+		p.next, p.stop = iter.Pull(p.body(fn))
 	}
 	for _, p := range e.procs {
 		e.runqPush(p)
@@ -446,8 +445,8 @@ func (e *Engine) Run(fn func(*Proc)) (Time, error) {
 
 // loop is the scheduler: it advances the clock until every processor is done
 // or the run fails. A panic out of an event or service closure (protocol
-// machinery) is converted into a run failure so Run can still join the
-// processor goroutines.
+// machinery) is converted into a run failure so Run can still unwind the
+// processor coroutines.
 func (e *Engine) loop() (finish Time) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -486,40 +485,32 @@ func (e *Engine) loop() (finish Time) {
 			next.runService()
 		case procResume:
 			next.state = procRunning
-			next.resume <- struct{}{}
-			switch <-next.yield {
-			case yieldService:
-				next.state = procService
-				e.runqPush(next)
-			case yieldInline:
-				// The processor ran its service inline and already updated
-				// its state and heap membership; nothing to do here.
-			case yieldDone:
+			e.counts.Resumes++
+			switch k, ok := next.next(); {
+			case !ok:
 				next.state = procDone
 				e.live--
 				if next.clock > finish {
 					finish = next.clock
 				}
+			case k == yieldService:
+				next.state = procService
+				e.runqPush(next)
 			}
+			// yieldParked: state and heap membership are already current.
 		}
 	}
 	return finish
 }
 
-// drain poisons and joins every processor goroutine that has not finished.
-// Every live processor is parked at <-p.resume (in Invoke — slow path or
-// after an inline-path yield — or in run before its first resume), so one
-// resume/yield round trip unwinds each cleanly.
+// drain stops every processor coroutine. A live processor is suspended in
+// Invoke or Park, where its yield then reports the stop and it unwinds by
+// panicking abortSignal through its app code; one that never started or has
+// finished needs nothing. Either way its coroutine is gone when stop returns.
 func (e *Engine) drain() {
 	for _, p := range e.procs {
-		if p.state == procDone || p.state == procIdle {
-			continue
-		}
-		p.poisoned = true
-		p.resume <- struct{}{}
-		<-p.yield
+		p.stop()
 		p.state = procDone
-		e.live--
 	}
 }
 
@@ -529,32 +520,29 @@ func (p *Proc) runService() {
 	svc()
 }
 
-// runInline executes svc in engine context on the processor's own goroutine,
-// converting a service panic into a run failure exactly as the engine loop
-// does for slow-path services.
-func (e *Engine) runInline(svc func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.fail(fmt.Errorf("sim: engine panic at cycle %d: %v", e.now, r))
-		}
-	}()
-	svc()
+// body is the processor coroutine: fn(p) with every panic recovered here,
+// because iter.Pull would re-raise one in whoever resumed the coroutine. An
+// app panic becomes a run failure; abortSignal is the engine unwinding it.
+func (p *Proc) body(fn func(*Proc)) iter.Seq[yieldKind] {
+	return func(yield func(yieldKind) bool) {
+		p.yield = yield
+		defer func() {
+			if r := recover(); r != nil {
+				if _, aborting := r.(abortSignal); !aborting {
+					p.eng.fail(fmt.Errorf("sim: proc %d panicked: %v", p.ID, r))
+				}
+			}
+		}()
+		fn(p)
+	}
 }
 
-func (p *Proc) run(fn func(*Proc)) {
-	<-p.resume
-	defer func() {
-		if r := recover(); r != nil {
-			if _, aborting := r.(abortSignal); !aborting {
-				p.eng.fail(fmt.Errorf("sim: proc %d panicked: %v", p.ID, r))
-			}
-		}
-		p.yield <- yieldDone
-	}()
-	if p.poisoned {
-		return
+// suspend switches the processor coroutine back to whoever resumed it and
+// returns once it is resumed again. A coroutine stopped meanwhile unwinds.
+func (p *Proc) suspend(k yieldKind) {
+	if !p.yield(k) {
+		panic(abortSignal{})
 	}
-	fn(p)
 }
 
 // Clock returns the processor's local clock. Valid from both app code and
@@ -570,74 +558,32 @@ func (p *Proc) Advance(n Time) {
 	p.clock += n
 }
 
-// Invoke yields to the engine and runs svc in exclusive engine context once
-// global time reaches the processor's clock (all earlier events fire first).
-// The service must finish the processor's transition by calling ResumeAt or
-// Block; app code resumes once the engine next selects this processor.
-// It must only be called from the processor's own app code.
-//
-// Fast path: when the invoking processor is already the unique earliest
-// actor (no event at or before its clock, no earlier runnable processor),
-// the engine would necessarily select it next, so the service runs inline on
-// the processor goroutine — the engine stays parked on this processor's
-// yield channel, preserving engine exclusivity — and, if the processor is
-// again the earliest actor at its resume time, app code continues without
-// any channel handoff at all.
+// Invoke suspends the processor and has the engine run svc in exclusive
+// engine context once global time reaches the processor's clock (all earlier
+// events fire first). The service must finish the processor's transition by
+// calling ResumeAt or Block; app code resumes once the engine next selects
+// this processor. It must only be called from the processor's own app code.
 func (p *Proc) Invoke(svc func()) {
-	e := p.eng
-	if e.failed == nil && e.isNext(p) {
-		e.pollInterrupt()
-		if e.failed == nil {
-			e.now = p.clock
-			p.state = procBlocked // service decides the next state
-			e.runInline(svc)
-			if e.failed == nil && p.state == procResume && p.qi == 0 &&
-				(len(e.eheap) == 0 || e.arena[e.eheap[0]].at > p.clock) {
-				// Still the earliest actor at the resume time: continue app
-				// code directly.
-				e.runqRemove(p)
-				e.now = p.clock
-				p.state = procRunning
-				return
-			}
-			// Someone else must run first (or the run failed): hand control
-			// back to the engine and park until selected.
-			p.yield <- yieldInline
-			<-p.resume
-			if p.poisoned {
-				panic(abortSignal{})
-			}
-			return
-		}
-		// A firing Interrupt poll falls through to the slow path so the
-		// engine regains control and unwinds the run.
-	}
 	p.svc = svc
-	p.yield <- yieldService
-	<-p.resume
-	if p.poisoned {
-		panic(abortSignal{})
-	}
+	p.suspend(yieldService)
 }
 
-// Park blocks the processor until it is released: by Release (a functional
-// round leader dispatching it to a worker slot) or by the engine selecting it
-// after Reattach. A parked processor is indistinguishable from one waiting at
-// its normal resume point, so the engine's resume/yield protocol and the
-// abort path (poison) both work on it unchanged. App-context only.
-func (p *Proc) Park() {
-	<-p.resume
-	if p.poisoned {
-		panic(abortSignal{})
-	}
-}
+// Park suspends the processor until it is resumed again: by Release (a
+// functional round dispatching it) or by the engine selecting it after
+// Reattach. A parked processor is indistinguishable from one suspended at
+// its normal resume point, so the engine's resume and the abort path (stop)
+// both work on it unchanged. App-context only.
+func (p *Proc) Park() { p.suspend(yieldParked) }
 
-// Release wakes a processor parked at Park or at its Invoke resume point.
-// Called from app context by a functional round leader; the engine itself
-// stays parked on the leader's yield channel, so engine exclusivity holds
-// for everything the released processor is allowed to touch (its own node
-// state only — see the sampler's round protocol).
-func (p *Proc) Release() { p.resume <- struct{}{} }
+// Release resumes a processor parked at Park or at its Invoke resume point
+// on the calling goroutine and returns when it parks again. A functional
+// round calls it for each member, possibly from several worker goroutines
+// at once (one member each); the engine itself stays suspended in the round
+// leader's resume, so engine exclusivity holds for everything the released
+// processor is allowed to touch (its own node state only — see the
+// sampler's round protocol). The engine may resume the member only after
+// Release has returned: until then its coroutine has not switched out.
+func (p *Proc) Release() { p.next() }
 
 // DetachRunnable removes every resumable (procResume) processor from the
 // runnable heap and appends it to dst in ascending ID order. The caller takes

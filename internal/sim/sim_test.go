@@ -243,7 +243,7 @@ func TestEventOrderingWithinCycle(t *testing.T) {
 }
 
 // TestInterruptAborts checks a firing Interrupt hook stops the run with its
-// error and joins every processor goroutine (no leaks).
+// error and unwinds every processor coroutine (no leaks).
 func TestInterruptAborts(t *testing.T) {
 	before := runtime.NumGoroutine()
 	boom := errors.New("cancelled")
@@ -265,7 +265,7 @@ func TestInterruptAborts(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped %v", err, boom)
 	}
-	// All four processor goroutines must have unwound.
+	// All four processor coroutines must have unwound.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		runtime.Gosched()
@@ -349,8 +349,8 @@ func TestEventsCascade(t *testing.T) {
 }
 
 // TestScheduleAtNow checks an event scheduled at exactly the current cycle is
-// legal, fires before the scheduling processor's next service (events-first
-// tie-break), and in particular blocks the inline continuation fast path.
+// legal and fires before the scheduling processor's next service
+// (events-first tie-break).
 func TestScheduleAtNow(t *testing.T) {
 	e := NewEngine(1)
 	var log []string
@@ -373,9 +373,9 @@ func TestScheduleAtNow(t *testing.T) {
 	}
 }
 
-// TestInlineServiceSelfWake checks a service running on the inline fast path
-// may block its own processor and schedule the event that resumes it.
-func TestInlineServiceSelfWake(t *testing.T) {
+// TestServiceSelfWake checks a service may block its own processor and
+// schedule the event that resumes it.
+func TestServiceSelfWake(t *testing.T) {
 	e := NewEngine(1)
 	final, err := e.Run(func(p *Proc) {
 		p.Advance(5)
@@ -387,7 +387,6 @@ func TestInlineServiceSelfWake(t *testing.T) {
 		if p.Clock() != 45 {
 			t.Errorf("woken at %d, want 45", p.Clock())
 		}
-		// Immediate self-resume: the inline continuation path (no handoff).
 		p.Invoke(func() { p.ResumeAt(p.Clock() + 7) })
 	})
 	if err != nil {
@@ -398,50 +397,16 @@ func TestInlineServiceSelfWake(t *testing.T) {
 	}
 }
 
-// TestInterruptDuringInlinePath checks an Interrupt poll that fires on the
-// inline fast path still aborts the run cleanly: the processor falls back to
-// the slow path so the engine regains control, and every goroutine unwinds.
-func TestInterruptDuringInlinePath(t *testing.T) {
-	before := runtime.NumGoroutine()
-	boom := errors.New("cancelled")
-	e := NewEngine(1)
-	e.Interrupt = func() error { return boom }
-	services := 0
-	_, err := e.Run(func(p *Proc) {
-		// A single processor with no pending events runs every Invoke on the
-		// inline path, so the firing poll lands between an inline service and
-		// its resume.
-		for i := 0; i < 1_000_000; i++ {
-			p.Advance(1)
-			p.Invoke(func() { services++; p.ResumeAt(p.Clock()) })
-		}
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped %v", err, boom)
-	}
-	if services >= 1_000_000 {
-		t.Fatal("interrupt never fired")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("%d goroutines leaked after abort", n-before)
-	}
-}
-
-// TestDrainWithInlineParkedProc checks the abort path unwinds a processor
-// that is parked mid-Invoke on the inline path (blocked in its own inline
-// service, waiting on its resume channel) when a sibling fails the run.
-func TestDrainWithInlineParkedProc(t *testing.T) {
+// TestDrainWithBlockedProc checks the abort path unwinds a processor that is
+// suspended mid-Invoke, blocked by its own service, when a sibling's service
+// fails the run.
+func TestDrainWithBlockedProc(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine(2)
 	_, err := e.Run(func(p *Proc) {
 		if p.ID == 0 {
-			// Runs inline (earliest actor), blocks, and parks on resume; the
-			// wake event is far enough out that the sibling fails first.
+			// Blocks itself; the wake event is far enough out that the
+			// sibling fails first.
 			p.Invoke(func() {
 				e.Schedule(1000, func() { p.ResumeAt(1000) })
 				p.Block()
@@ -462,5 +427,84 @@ func TestDrainWithInlineParkedProc(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("%d goroutines leaked after abort", n-before)
+	}
+}
+
+// TestReleaseAcrossGoroutines checks the engine side of a functional round:
+// a leader detaches a resumable processor, a worker goroutine Releases it
+// until it parks, and after Reattach the engine resumes it where it parked.
+// The second case aborts the run through Interrupt while the member is
+// parked: it must unwind without re-entering app code, and no goroutine may
+// leak either way.
+func TestReleaseAcrossGoroutines(t *testing.T) {
+	for _, abort := range []bool{false, true} {
+		before := runtime.NumGoroutine()
+		boom := errors.New("cancelled")
+		cancel := false
+		e := NewEngine(2)
+		e.Interrupt = func() error {
+			if cancel {
+				return boom
+			}
+			return nil
+		}
+		released, resumedAt := false, Time(-1)
+		final, err := e.Run(func(p *Proc) {
+			if p.ID == 1 {
+				// Runs first on the worker goroutine, then parks.
+				released = true
+				p.Advance(5)
+				p.Park()
+				resumedAt = p.Clock()
+				p.Invoke(func() { p.ResumeAt(p.Clock() + 1) })
+				return
+			}
+			members := e.DetachRunnable(nil)
+			if len(members) != 1 || members[0].ID != 1 {
+				t.Errorf("detached %d processors, want only proc 1", len(members))
+				return
+			}
+			done := make(chan struct{})
+			go func() {
+				members[0].Release()
+				close(done)
+			}()
+			<-done
+			e.Reattach(members)
+			if abort {
+				cancel = true
+				if !e.CheckCancel() {
+					t.Error("CheckCancel missed the firing Interrupt")
+				}
+			}
+			p.Advance(10)
+			p.Invoke(func() { p.ResumeAt(p.Clock()) })
+		})
+		if !released {
+			t.Fatalf("abort=%v: member never ran", abort)
+		}
+		if abort {
+			if !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want wrapped %v", err, boom)
+			}
+			if resumedAt >= 0 {
+				t.Fatal("aborted member resumed into app code")
+			}
+		} else {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumedAt != 5 || final != 10 {
+				t.Fatalf("member resumed at %d, final %d; want 5, 10", resumedAt, final)
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			runtime.Gosched()
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("abort=%v: %d goroutines leaked", abort, n-before)
+		}
 	}
 }

@@ -218,7 +218,7 @@ func (a *failVerifyApp) Verify() error { return errors.New("checksum mismatch") 
 // transaction tail — exactly when the trace is most useful.
 func TestVerifyFailureKeepsTrace(t *testing.T) {
 	spec := RunSpec{App: "failverify", System: SystemNetCache, Scale: 0.25, Verify: true, TraceCap: 16}
-	res, err := runApp(context.Background(), spec, &failVerifyApp{})
+	res, _, err := runApp(context.Background(), spec, &failVerifyApp{})
 	if err == nil {
 		t.Fatal("failing Verify returned no error")
 	}

@@ -264,7 +264,7 @@ func TestSampledRoundOptOut(t *testing.T) {
 
 // TestSampledCancellationJoins cancels a sampled run mid-warmup — with
 // round members potentially parked off the runnable heap — and checks the
-// abort still joins every processor goroutine.
+// abort still unwinds every processor coroutine.
 func TestSampledCancellationJoins(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
